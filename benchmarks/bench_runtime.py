@@ -5,7 +5,8 @@ Two claims to demonstrate:
 1. **Speedup**: an 8-client round fanned out over 4 worker processes beats
    serial wall-clock (asserted ≥2× only on machines with ≥4 cores — on
    smaller hosts the parallel backend is still *correct*, just not faster,
-   and the bench only reports the ratio).
+   and the bench records the speed-up as not observable instead of a
+   ratio that says nothing about the backend).
 2. **Degradation, not collapse**: FedKEMF under dropout + lossy uplinks +
    a round deadline still learns; the history shows who failed, why, and
    how long the simulated rounds took.
@@ -24,6 +25,8 @@ from repro.experiments.figures import sparkline
 from repro.fl.algorithms import ALGORITHM_REGISTRY, FLConfig
 from repro.nn.models import build_model
 from repro.runtime.executors import fork_available
+
+WORKERS = 4
 
 
 def _bench_fed(num_clients=8, seed=0, heavy=False):
@@ -72,33 +75,38 @@ def _run(workers: int, fed, rounds=1, heavy=False, **overrides) -> tuple[float, 
 
 @pytest.mark.benchmark(group="runtime")
 def test_parallel_speedup(benchmark, save_result):
-    """Serial vs 4-worker wall-clock on one 8-client full-participation round."""
+    """Serial vs ``WORKERS``-worker wall-clock on one 8-client full-participation round."""
     fed = _bench_fed(heavy=True)
     cores = os.cpu_count() or 1
 
     def run_both():
         t_serial, h_serial = _run(workers=0, fed=fed, heavy=True)
-        t_parallel, h_parallel = _run(workers=4, fed=fed, heavy=True)
+        t_parallel, h_parallel = _run(workers=WORKERS, fed=fed, heavy=True)
         return t_serial, t_parallel, h_serial, h_parallel
 
     t_serial, t_parallel, h_serial, h_parallel = benchmark.pedantic(
         run_both, rounds=1, iterations=1
     )
     speedup = t_serial / t_parallel
+    if cores >= WORKERS:
+        speedup_line = f"  speedup  {speedup:8.2f}x"
+    else:
+        # Workers time-share the cores, so the ratio measures the host.
+        speedup_line = f"  speedup: not observable ({cores} cores < {WORKERS} workers)"
 
     lines = [
         "Execution runtime — parallel client execution (8 clients, 1 round)",
         f"  host cores={cores} fork={'yes' if fork_available() else 'no'}",
         f"  serial   {t_serial * 1e3:8.1f} ms",
-        f"  4 workers{t_parallel * 1e3:8.1f} ms",
-        f"  speedup  {speedup:8.2f}x",
+        f"  {WORKERS} workers{t_parallel * 1e3:8.1f} ms",
+        speedup_line,
     ]
     save_result("runtime_speedup", "\n".join(lines))
 
     # Correctness always holds; the wall-clock claim needs the cores.
     assert h_serial.records[-1].accuracy == h_parallel.records[-1].accuracy
     assert h_serial.total_bytes == h_parallel.total_bytes
-    if cores >= 4 and fork_available():
+    if cores >= WORKERS and fork_available():
         assert speedup >= 2.0, f"expected >=2x speedup on {cores} cores, got {speedup:.2f}x"
 
 

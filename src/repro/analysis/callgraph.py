@@ -1,6 +1,6 @@
 """Project-wide symbol table and call graph for the dataflow rules.
 
-The per-file AST rules (RPL1xx-6xx) prove properties of single call
+The per-file AST rules (RPL1xx-5xx) prove properties of single call
 sites; the RPL7xx family needs to know *what calls what* across the whole
 tree: an ambient RNG constructed two helpers below ``client_work`` is just
 as fatal to executor parity as one constructed inline. This module builds

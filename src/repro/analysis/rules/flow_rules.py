@@ -1,6 +1,6 @@
 """RPL7xx: interprocedural dataflow rules over the project call graph.
 
-Where RPL1xx-6xx prove properties of a single statement, these rules
+Where RPL1xx-5xx prove properties of a single statement, these rules
 prove properties of *paths*: an ambient RNG constructed inside a helper
 two calls below ``client_work`` breaks executor parity exactly as hard as
 one constructed inline, and only a call-graph traversal can see it. Each
@@ -16,7 +16,7 @@ when the live registry is importable its class names extend the set.
 
 | code   | path property proved                                          |
 | ------ | ------------------------------------------------------------- |
-| RPL701 | no ambient RNG reachable from ``client_work``/``_batched``    |
+| RPL701 | no ambient RNG reachable from ``client_work``                 |
 | RPL702 | nothing reachable from client work mutates ``self`` state     |
 | RPL703 | ``client_payload``/``server_state`` return copies, not aliases|
 | RPL704 | attrs written on aggregate paths ride ``server_state()``      |
@@ -64,7 +64,7 @@ _ALGO_BASE_NAMES = frozenset(
     }
 )
 
-_CLIENT_WORK_HOOKS = ("client_work", "client_work_batched")
+_CLIENT_WORK_HOOKS = ("client_work",)
 _RETURNING_HOOKS = ("client_payload", "server_state")
 _AGGREGATE_HOOKS = ("aggregate", "aggregate_buffered", "apply_client_update")
 _STATE_HOOKS = ("server_state", "load_server_state")
@@ -176,7 +176,7 @@ class WorkerSideSelfMutation(FlowRule):
     code = "RPL702"
     name = "worker-side-self-mutation"
     invariant = (
-        "No function reachable from client_work/client_work_batched writes "
+        "No function reachable from client_work writes "
         "algorithm self state; worker-side writes are silently lost under "
         "fork executors and diverge from the serial path."
     )

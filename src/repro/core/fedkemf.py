@@ -24,14 +24,12 @@ from typing import Sequence
 
 from repro.core.distill import DistillConfig
 from repro.core.fusion import fuse_ensemble_distill
-from repro.core.mutual import DeepMutualTrainer, train_stacked_mutual
+from repro.core.mutual import DeepMutualTrainer
 from repro.data.dataset import ArrayDataset
 from repro.data.federated import FederatedDataset
 from repro.fl.algorithms.base import ALGORITHM_REGISTRY, FLAlgorithm, FLConfig, ModelFn
 from repro.fl.state_store import ClientModelBank, LazyFactoryBank
-from repro.nn.batched import build_stacked
 from repro.nn.module import Module
-from repro.nn.serialization import state_dict_signature
 from repro.runtime.adversary import LABELFLIP
 from repro.runtime.executors import ClientUpdate
 from repro.runtime.runtime import FLRuntime
@@ -220,63 +218,6 @@ class FedKEMF(FLAlgorithm):
             stats=stats,
             local_state=self.local_models[cid].state_dict(),
         )
-
-    def client_work_batched(
-        self, round_idx: int, tasks: "list[tuple[int, dict]]"
-    ) -> "dict[int, ClientUpdate] | None":
-        # Stacked deep mutual learning: both the knowledge networks and the
-        # local models of a homogeneous cohort train as one program each.
-        # Grouping key adds the *local* architecture (the multi-model
-        # setting of Table 3 mixes them) on top of shard size; clients the
-        # stack can't absorb run through the serial client_work unchanged.
-        # Local models are NOT mutated here — trained weights return via
-        # ``local_state`` and the parent writes them back through
-        # apply_client_update, exactly like the serial/forked paths.
-        sig = state_dict_signature(self._scratch.state_dict(copy=False))
-        groups: "dict[tuple, list[tuple[int, dict]]]" = {}
-        for cid, payload in tasks:
-            state = payload.get("state")
-            if state is None or state_dict_signature(state) != sig:
-                continue
-            if self.runtime.attack_role(round_idx, cid) == LABELFLIP:
-                continue  # trains a flipped-label view: serial client_work path
-            local = self.local_models[cid]
-            key = (
-                type(local),
-                state_dict_signature(local.state_dict(copy=False)),
-                self.fed.client_size(cid),
-            )
-            groups.setdefault(key, []).append((cid, payload))
-        results: "dict[int, ClientUpdate]" = {}
-        for (_ltype, _lsig, shard), group in groups.items():
-            if len(group) < 2:
-                continue  # a singleton stack is pure overhead
-            k = len(group)
-            stacked_know = build_stacked(self._scratch, k)
-            stacked_local = build_stacked(self.local_models[group[0][0]], k)
-            if stacked_know is None or stacked_local is None:
-                continue  # architecture not stackable: serial fallback
-            stacked_know.load_client_states([p["state"] for _, p in group])
-            stacked_local.load_client_states(
-                [self.local_models[cid].state_dict(copy=False) for cid, _ in group]
-            )
-            stats = train_stacked_mutual(
-                stacked_local,
-                stacked_know,
-                [self.mutual_trainers[cid] for cid, _ in group],
-                self.cfg.local_epochs,
-                round_idx,
-            )
-            for i, (cid, _payload) in enumerate(group):
-                results[cid] = ClientUpdate(
-                    client_id=cid,
-                    states={"state": stacked_know.client_state(i)},
-                    weight=float(shard),
-                    steps=stats[i].steps,
-                    stats=stats[i],
-                    local_state=stacked_local.client_state(i),
-                )
-        return results or None
 
     def apply_client_update(self, update: ClientUpdate) -> None:
         # The device keeps its trained θ even if the server never sees θ_g^k.

@@ -16,17 +16,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.data.dataset import Dataset
 from repro.data.loader import DataLoader
 from repro.nn import functional as F
-from repro.nn.batched import StackedModel, cross_entropy_k, kl_div_with_logits_k
 from repro.nn.module import Module
 from repro.nn.optim import SGD
 from repro.nn.tensor import Tensor
 
-__all__ = ["MutualTrainStats", "DeepMutualTrainer", "train_stacked_mutual"]
+__all__ = ["MutualTrainStats", "DeepMutualTrainer"]
 
 
 @dataclass
@@ -66,14 +63,6 @@ class DeepMutualTrainer:
         self.kl_weight = kl_weight
         self.seed = seed
 
-    def make_loader(self, round_idx: int = 0) -> DataLoader:
-        return DataLoader(
-            self.dataset,
-            batch_size=self.batch_size,
-            shuffle=True,
-            seed=self.seed * 100003 + round_idx,
-        )
-
     def train(
         self,
         local_model: Module,
@@ -82,7 +71,12 @@ class DeepMutualTrainer:
         round_idx: int = 0,
     ) -> MutualTrainStats:
         """Mutually train ``local_model`` and ``knowledge_net`` for E epochs."""
-        loader = self.make_loader(round_idx)
+        loader = DataLoader(
+            self.dataset,
+            batch_size=self.batch_size,
+            shuffle=True,
+            seed=self.seed * 100003 + round_idx,
+        )
         opt_local = SGD(
             local_model.parameters(),
             lr=self.lr,
@@ -137,101 +131,3 @@ class DeepMutualTrainer:
             mean_kl=sum_kl / denom,
         )
 
-
-def train_stacked_mutual(
-    stacked_local: StackedModel,
-    stacked_know: StackedModel,
-    trainers: "list[DeepMutualTrainer]",
-    epochs: int,
-    round_idx: int = 0,
-) -> list[MutualTrainStats]:
-    """Lockstep cohort version of :meth:`DeepMutualTrainer.train` (Alg. 1).
-
-    Runs K clients' deep-mutual-learning passes as one stacked program —
-    both networks' forwards precede both updates exactly as in the serial
-    step, so per-client trajectories are bit-identical.
-    """
-    k = stacked_local.k
-    if stacked_know.k != k or len(trainers) != k:
-        raise ValueError("cohort size mismatch between stacks and trainers")
-    first = trainers[0]
-    for tr in trainers[1:]:
-        if (
-            tr.batch_size != first.batch_size
-            or tr.lr != first.lr
-            or tr.momentum != first.momentum
-            or tr.weight_decay != first.weight_decay
-            or tr.kl_weight != first.kl_weight
-        ):
-            raise ValueError("cohort trainers must share solver hyperparameters")
-    from repro.fl.trainer import collect_batches
-
-    schedules = collect_batches(trainers, epochs, round_idx)
-    n_steps = len(schedules[0])
-    if any(len(s) != n_steps for s in schedules):
-        raise ValueError("cohort clients must share a batch schedule")
-
-    kl_weight = first.kl_weight
-    opt_local = SGD(
-        stacked_local.parameters(),
-        lr=first.lr,
-        momentum=first.momentum,
-        weight_decay=first.weight_decay,
-    )
-    opt_know = SGD(
-        stacked_know.parameters(),
-        lr=first.lr,
-        momentum=first.momentum,
-        weight_decay=first.weight_decay,
-    )
-    stacked_local.train()
-    stacked_know.train()
-
-    ones = np.ones(k, dtype=np.float32)
-    steps = 0
-    seen = [0] * k
-    sum_local = [0.0] * k
-    sum_know = [0.0] * k
-    sum_kl = [0.0] * k
-    for t in range(n_steps):
-        xb = np.stack([schedules[j][t][0] for j in range(k)])
-        yb = np.stack([schedules[j][t][1] for j in range(k)])
-        x = Tensor(xb)
-        logits_local = stacked_local(x)
-        logits_know = stacked_know(x)
-
-        # --- update θ (local models); θ_g's logits are constants ---
-        stacked_local.zero_grad()
-        ce_l = cross_entropy_k(logits_local, yb)
-        kl_l = kl_div_with_logits_k(logits_know.detach(), logits_local)
-        loss_l = ce_l + kl_weight * kl_l
-        loss_l.backward(ones)
-        opt_local.step()
-
-        # --- update θ_g (knowledge nets); θ's logits are constants ---
-        stacked_know.zero_grad()
-        ce_k = cross_entropy_k(logits_know, yb)
-        kl_k = kl_div_with_logits_k(logits_local.detach(), logits_know)
-        loss_k = ce_k + kl_weight * kl_k
-        loss_k.backward(ones)
-        opt_know.step()
-
-        n = yb.shape[1]
-        steps += 1
-        loss_l_data, loss_k_data = loss_l.data, loss_k.data
-        kl_l_data, kl_k_data = kl_l.data, kl_k.data
-        for j in range(k):
-            seen[j] += n
-            sum_local[j] += float(loss_l_data[j]) * n
-            sum_know[j] += float(loss_k_data[j]) * n
-            sum_kl[j] += 0.5 * (float(kl_l_data[j]) + float(kl_k_data[j])) * n
-
-    return [
-        MutualTrainStats(
-            steps=steps,
-            mean_local_loss=sum_local[j] / max(seen[j], 1),
-            mean_knowledge_loss=sum_know[j] / max(seen[j], 1),
-            mean_kl=sum_kl[j] / max(seen[j], 1),
-        )
-        for j in range(k)
-    ]

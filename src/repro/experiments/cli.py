@@ -21,10 +21,27 @@ import sys
 from repro.experiments import figures, tables
 from repro.experiments.configs import get_scale
 from repro.experiments.runner import ExperimentRunner
+from repro.fl.robust import parse_defense
+from repro.runtime import EXECUTOR_KINDS, parse_fault_spec
 
 __all__ = ["main", "build_parser"]
 
 EXPERIMENTS = ("table1", "table2", "table3", "figure4", "figure5", "figure6", "figure7")
+
+
+def _validated_by(parse):
+    """argparse ``type=`` that checks a spec with ``parse`` up front (a bad
+    value becomes a one-line usage error naming the flag, exit 2) and keeps
+    passing the raw string on."""
+
+    def check(text: str) -> str:
+        try:
+            parse(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(f"{text!r}: {exc}") from None
+        return text
+
+    return check
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -58,14 +75,14 @@ def build_parser() -> argparse.ArgumentParser:
     rt.add_argument(
         "--executor",
         default=None,
-        choices=["serial", "parallel", "persistent", "batched"],
-        help="executor backend: serial, parallel (fork per round), persistent "
-        "(long-lived worker pool), or batched (homogeneous cohorts train as one "
-        "stacked program; default: $REPRO_EXECUTOR or by --workers)",
+        choices=EXECUTOR_KINDS,
+        help="executor backend: serial, parallel (fork per round) or persistent "
+        "(long-lived worker pool; default: $REPRO_EXECUTOR or by --workers)",
     )
     rt.add_argument(
         "--faults",
         default=None,
+        type=_validated_by(parse_fault_spec),
         help="fault injection spec; mixes infrastructure and Byzantine attack "
         "keys, e.g. 'dropout=0.3,loss=0.1' or 'signflip=0.2,scale=10@0.1' "
         "(default: $REPRO_FAULTS)",
@@ -73,6 +90,7 @@ def build_parser() -> argparse.ArgumentParser:
     rt.add_argument(
         "--defense",
         default=None,
+        type=_validated_by(parse_defense),
         help="robust server aggregation: mean | clip[=tau] | autoclip | "
         "trimmed[=beta] | median | krum[=f] (default: $REPRO_DEFENSE; "
         "unset = plain averaging)",

@@ -168,7 +168,7 @@ def runtime_defaults() -> dict:
     """Execution-runtime config overrides from the environment.
 
     ``REPRO_WORKERS`` (int), ``REPRO_EXECUTOR`` (serial | parallel |
-    persistent | batched), ``REPRO_FAULTS`` (fault spec string, e.g.
+    persistent), ``REPRO_FAULTS`` (fault spec string, e.g.
     ``"dropout=0.3,loss=0.1"``) and ``REPRO_DEADLINE`` (float seconds) map
     onto :class:`repro.fl.algorithms.FLConfig`'s ``workers`` / ``executor``
     / ``faults`` / ``deadline`` fields; ``REPRO_AGGREGATION`` (sync |

@@ -49,14 +49,9 @@ from repro.fl.metrics import average_local_accuracy, evaluate_model
 from repro.fl.robust import parse_defense, validate_update
 from repro.fl.sampler import ClientSampler
 from repro.fl.state_store import LazyFactoryBank
-from repro.fl.trainer import LocalTrainer, train_stacked
-from repro.nn.batched import build_stacked
+from repro.fl.trainer import LocalTrainer
 from repro.nn.module import Module
-from repro.nn.serialization import (
-    average_states,
-    state_dict_num_bytes,
-    state_dict_signature,
-)
+from repro.nn.serialization import average_states, state_dict_num_bytes
 from repro.runtime.adversary import LABELFLIP, poison_states
 from repro.runtime.async_server import (
     AGGREGATION_KINDS,
@@ -115,7 +110,7 @@ class FLConfig:
     compression: str | None = None  # wire codec: fp16 | q8 | q4 (extension)
     # execution runtime (repro.runtime)
     workers: int = 0  # 0/1 = serial; >= 2 = process-parallel client execution
-    executor: str | None = None  # serial|parallel|persistent|batched (None = by workers)
+    executor: str | None = None  # serial|parallel|persistent (None = by workers)
     faults: str | None = None  # fault spec, e.g. "dropout=0.3,loss=0.1,slowdown=4"
     deadline: float | None = None  # virtual-clock round deadline (seconds)
     over_provision: bool = True  # sample ceil(K/(1-dropout)) when dropout > 0
@@ -402,60 +397,6 @@ class FLAlgorithm:
             steps=stats.steps,
             stats=stats,
         )
-
-    def client_work_batched(
-        self, round_idx: int, tasks: "list[tuple[int, dict]]"
-    ) -> "dict[int, ClientUpdate] | None":
-        """Fold homogeneous cohorts of this round's tasks into stacked
-        training (:class:`~repro.runtime.executors.BatchedExecutor` calls
-        this). Returns ``{cid: update}`` for every client handled — the
-        executor routes the rest through :meth:`client_work` — or ``None``
-        when no batched path applies.
-
-        The default covers algorithms that keep the stock
-        :meth:`client_work` (plain local SGD: FedAvg and the server-side
-        optimizer variants). Cohorts are grouped by (model signature,
-        shard size): an equal shard plus the shared ``batch_size`` gives
-        an identical per-step batch schedule, which is what lets the stack
-        train in lockstep and replay bit-identically to the serial loop.
-        Algorithms that customise local training (FedProx, SCAFFOLD,
-        FedNova) fall back to serial automatically.
-        """
-        if type(self).client_work is not FLAlgorithm.client_work:
-            return None  # custom local pass: no generic stacked equivalent
-        sig = state_dict_signature(self._scratch.state_dict(copy=False))
-        groups: "dict[int, list[tuple[int, dict]]]" = {}
-        for cid, payload in tasks:
-            state = payload.get("state")
-            if state is None or state_dict_signature(state) != sig:
-                continue
-            if self.runtime.attack_role(round_idx, cid) == LABELFLIP:
-                continue  # trains a flipped-label view: serial client_work path
-            shard = self.fed.client_size(cid)
-            groups.setdefault(shard, []).append((cid, payload))
-        results: "dict[int, ClientUpdate]" = {}
-        for shard, group in groups.items():
-            if len(group) < 2:
-                continue  # a singleton stack is pure overhead
-            stacked = build_stacked(self._scratch, len(group))
-            if stacked is None:
-                continue  # architecture not stackable: serial fallback
-            stacked.load_client_states([payload["state"] for _, payload in group])
-            stats = train_stacked(
-                stacked,
-                [self.trainers[cid] for cid, _ in group],
-                self.cfg.local_epochs,
-                round_idx,
-            )
-            for i, (cid, _payload) in enumerate(group):
-                results[cid] = ClientUpdate(
-                    client_id=cid,
-                    states={"state": stacked.client_state(i)},
-                    weight=float(shard),
-                    steps=stats[i].steps,
-                    stats=stats[i],
-                )
-        return results or None
 
     def apply_client_update(self, update: ClientUpdate) -> None:
         """Parent-side write-back of persistent per-client state.

@@ -12,17 +12,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-import numpy as np
-
 from repro.data.dataset import Dataset
 from repro.data.loader import DataLoader
 from repro.nn import functional as F
-from repro.nn.batched import StackedModel, cross_entropy_k
 from repro.nn.module import Module
 from repro.nn.optim import SGD
 from repro.nn.tensor import Tensor
 
-__all__ = ["LocalTrainer", "TrainStats", "train_stacked"]
+__all__ = ["LocalTrainer", "TrainStats"]
 
 # hook(model) runs after backward and before the optimizer step;
 # it may modify p.grad in place.
@@ -115,88 +112,3 @@ class LocalTrainer:
             mean_loss=loss_sum / max(samples, 1),
         )
 
-
-def collect_batches(
-    trainers: "list[LocalTrainer] | list", epochs: int, round_idx: int
-) -> list[list[tuple[np.ndarray, np.ndarray]]]:
-    """Materialize each trainer's full E-epoch batch schedule.
-
-    Consumes each client's loader RNG exactly like the serial nested loops,
-    so the minibatch contents are bit-identical to a serial run. Callers
-    group clients by shard size beforehand: equal shard sizes plus a shared
-    ``batch_size`` yield identical per-step batch shapes, which is what lets
-    the cohort train in lockstep without padding or masking.
-    """
-    per_client: list[list[tuple[np.ndarray, np.ndarray]]] = []
-    for tr in trainers:
-        loader = tr.make_loader(round_idx)
-        per_client.append([(xb, yb) for _epoch in range(epochs) for xb, yb in loader])
-    return per_client
-
-
-def train_stacked(
-    stacked: StackedModel,
-    trainers: "list[LocalTrainer]",
-    epochs: int,
-    round_idx: int = 0,
-    lr: float | None = None,
-) -> list[TrainStats]:
-    """Lockstep cohort version of :meth:`LocalTrainer.train`.
-
-    Trains K clients' models (folded into ``stacked``) as one vectorized
-    program; per-client results are bit-identical to K sequential
-    :meth:`LocalTrainer.train` calls. Requires every trainer to share solver
-    hyperparameters and an equal-length batch schedule.
-    """
-    k = stacked.k
-    if len(trainers) != k:
-        raise ValueError(f"expected {k} trainers, got {len(trainers)}")
-    first = trainers[0]
-    for tr in trainers[1:]:
-        if (
-            tr.batch_size != first.batch_size
-            or tr.lr != first.lr
-            or tr.momentum != first.momentum
-            or tr.weight_decay != first.weight_decay
-        ):
-            raise ValueError("cohort trainers must share solver hyperparameters")
-    schedules = collect_batches(trainers, epochs, round_idx)
-    n_steps = len(schedules[0])
-    if any(len(s) != n_steps for s in schedules):
-        raise ValueError("cohort clients must share a batch schedule")
-
-    opt = SGD(
-        stacked.parameters(),
-        lr=lr if lr is not None else first.lr,
-        momentum=first.momentum,
-        weight_decay=first.weight_decay,
-    )
-    stacked.train()
-    ones = np.ones(k, dtype=np.float32)
-    steps = 0
-    samples = [0] * k
-    # Per-client float64 accumulators updated in step order — the identical
-    # sequence of Python-float ops the serial loop performs.
-    loss_sums = [0.0] * k
-    for t in range(n_steps):
-        xb = np.stack([schedules[j][t][0] for j in range(k)])
-        yb = np.stack([schedules[j][t][1] for j in range(k)])
-        stacked.zero_grad()
-        losses = cross_entropy_k(stacked(Tensor(xb)), yb)
-        losses.backward(ones)
-        opt.step()
-        steps += 1
-        n = yb.shape[1]
-        losses_data = losses.data
-        for j in range(k):
-            samples[j] += n
-            loss_sums[j] += float(losses_data[j]) * n
-    return [
-        TrainStats(
-            steps=steps,
-            epochs=epochs,
-            samples_seen=samples[j],
-            mean_loss=loss_sums[j] / max(samples[j], 1),
-        )
-        for j in range(k)
-    ]

@@ -391,9 +391,9 @@ def conv2d(
         out = out + bias.data.reshape(1, oc, 1)
     # einsum's optimized path returns a channel-fastest view; canonicalize to
     # C order so downstream multi-axis reductions (BatchNorm statistics, pool
-    # means) always reduce in the same stride order — required for the
-    # batched executor's per-client-slice bit-identity (layout, not just
-    # values, decides the pairwise summation tree).
+    # means) always run one fixed C-order summation tree — layout, not just
+    # values, decides that tree, and the committed result artifacts were
+    # produced with it (dropping the copy shifts last-ulp numerics).
     out = np.ascontiguousarray(out.reshape(n, oc, out_h, out_w))
 
     def bwd(g):

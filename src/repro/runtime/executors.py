@@ -6,10 +6,6 @@ client. The executor decides the mechanics:
 
 - :class:`SerialExecutor` runs tasks in-process, in order — the
   deterministic reference implementation;
-- :class:`BatchedExecutor` asks the algorithm to fold homogeneous client
-  cohorts into one stacked tensor program (:mod:`repro.nn.batched`) and
-  runs whatever it declines serially — bit-identical results to
-  :class:`SerialExecutor`, far fewer (much larger) kernel launches;
 - :class:`ParallelExecutor` fans tasks out over a fork-based
   ``ProcessPoolExecutor``. Workers are forked *per round*, so every child
   sees an exact snapshot of the algorithm's round-start state; the work
@@ -78,13 +74,10 @@ from concurrent.futures import TimeoutError as _FuturesTimeout
 from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping, Sequence
 
-from repro.nn.batched import batched_enabled
-
 __all__ = [
     "ClientUpdate",
     "ClientExecutor",
     "SerialExecutor",
-    "BatchedExecutor",
     "ParallelExecutor",
     "PersistentParallelExecutor",
     "RetryPolicy",
@@ -316,51 +309,6 @@ class SerialExecutor(ClientExecutor):
         return [work(cid, payload) for cid, payload in tasks]
 
 
-class BatchedExecutor(ClientExecutor):
-    """Cross-client batched execution: homogeneous cohorts train stacked.
-
-    The round's work closure is (by the algorithm-layer contract)
-    ``functools.partial(algorithm.client_work, round_idx)``; the executor
-    unwraps the algorithm and offers it the whole task list via
-    ``client_work_batched``. The algorithm folds every cohort it can prove
-    homogeneous (same model signature, same shard size) into one stacked
-    tensor program (:mod:`repro.nn.batched`) and returns those updates;
-    clients it declines — unique architectures, singleton groups,
-    algorithms without a batched path — run through the ordinary serial
-    ``work`` call. Results are bit-identical to :class:`SerialExecutor`
-    either way.
-
-    ``REPRO_BATCHED=0`` disables the stacked path entirely, keeping the
-    per-client loop selectable as the in-tree oracle.
-
-    :attr:`last_round_mode` records what happened: ``"batched"`` (every
-    client stacked), ``"mixed"`` (some stacked, some serial), or
-    ``"serial"`` (no batched path taken).
-    """
-
-    workers = 1
-    last_round_mode = "serial"
-
-    def run_round(self, work: WorkFn, tasks: "Sequence[Task]") -> "list[ClientUpdate]":
-        self.last_round_failures = {}
-        batched: "dict[int, ClientUpdate] | None" = None
-        if batched_enabled() and tasks:
-            algo = getattr(getattr(work, "func", None), "__self__", None)
-            hook = getattr(algo, "client_work_batched", None)
-            args = getattr(work, "args", ())
-            if hook is not None and len(args) == 1:
-                batched = hook(args[0], tasks)
-        if not batched:
-            self.last_round_mode = "serial"
-            return [work(cid, payload) for cid, payload in tasks]
-        results = [
-            batched[cid] if cid in batched else work(cid, payload)
-            for cid, payload in tasks
-        ]
-        self.last_round_mode = "batched" if len(batched) == len(tasks) else "mixed"
-        return results
-
-
 # Work closures for rounds in flight, as a stack so nested executor use is
 # reentrant: each run_round pushes its closure, forks (children inherit the
 # whole stack), and pops exactly its own frame on the way out. Closures
@@ -555,7 +503,7 @@ class PersistentParallelExecutor(ClientExecutor):
             self._pool = None
 
 
-EXECUTOR_KINDS = ("serial", "parallel", "persistent", "batched")
+EXECUTOR_KINDS = ("serial", "parallel", "persistent")
 
 
 def make_executor(workers: int = 0, kind: "str | None" = None) -> ClientExecutor:
@@ -563,9 +511,9 @@ def make_executor(workers: int = 0, kind: "str | None" = None) -> ClientExecutor
 
     With ``kind=None`` (the default) the historical mapping applies:
     0/1 workers → serial, ≥2 → per-round :class:`ParallelExecutor`. An
-    explicit ``kind`` — ``"serial"``, ``"parallel"``, ``"persistent"`` or
-    ``"batched"``, e.g. from ``--executor`` / ``$REPRO_EXECUTOR`` — picks
-    the backend directly; the parallel kinds then treat ``workers < 2`` as
+    explicit ``kind`` — ``"serial"``, ``"parallel"`` or ``"persistent"``,
+    e.g. from ``--executor`` / ``$REPRO_EXECUTOR`` — picks the backend
+    directly; the parallel kinds then treat ``workers < 2`` as
     "use all cores".
     """
     if workers < 0:
@@ -578,8 +526,6 @@ def make_executor(workers: int = 0, kind: "str | None" = None) -> ClientExecutor
             )
         if kind == "serial":
             return SerialExecutor()
-        if kind == "batched":
-            return BatchedExecutor()
         cls = ParallelExecutor if kind == "parallel" else PersistentParallelExecutor
         return cls(workers if workers >= 2 else None)
     if workers >= 2:

@@ -39,6 +39,36 @@ class TestParser:
         assert bare.checkpoint_dir is None and bare.resume is False
 
 
+class TestRuntimeFlagValidation:
+    """Bad runtime flag values die at parse time as one-line usage errors
+    (exit 2) naming the flag, before any run starts."""
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["--executor", "batched"], "--executor"),
+            (["--defense", "krum=abc"], "--defense"),
+            (["--defense", "bogus"], "--defense"),
+            (["--faults", "dropout=abc"], "--faults"),
+            (["--faults", "frobnicate=1"], "--faults"),
+        ],
+    )
+    def test_bad_value_exits_2(self, argv, flag, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args(["table2", *argv])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument {flag}" in err
+        assert "Traceback" not in err
+
+    def test_valid_specs_pass_through_as_strings(self):
+        args = build_parser().parse_args(
+            ["table2", "--defense", "krum=1", "--faults", "dropout=0.3,signflip=0.2"]
+        )
+        assert args.defense == "krum=1"
+        assert args.faults == "dropout=0.3,signflip=0.2"
+
+
 class TestListCommand:
     def test_list_prints_index(self, capsys):
         assert main(["list"]) == 0

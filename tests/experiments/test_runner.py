@@ -55,6 +55,13 @@ class TestRunKey:
 
 
 class TestRun:
+    def test_retired_executor_env_rejected(self, runner, monkeypatch):
+        # $REPRO_EXECUTOR=batched names a removed backend: it must fail
+        # loudly with the valid kinds, never degrade to a silent serial run.
+        monkeypatch.setenv("REPRO_EXECUTOR", "batched")
+        with pytest.raises(ValueError, match="'serial', 'parallel', 'persistent'"):
+            runner.run("fedavg", "mlp", setting="30")
+
     def test_run_produces_history(self, runner):
         h = runner.run("fedavg", "mlp", setting="30")
         assert h.num_rounds == runner.scale.rounds

@@ -3,7 +3,7 @@
 One thousand clients, 5% sampled, faults and a trimmed-mean defense live —
 the acceptance triple (FedAvg, SCAFFOLD, FedKEMF) must produce the *same*
 ``RunHistory.fingerprint()`` across every combination of data residency
-(eager / lazy) and executor (serial / persistent / batched), plus through
+(eager / lazy) and executor (serial / persistent), plus through
 a kill-and-resume whose per-client state store actually spilled to disk.
 """
 
@@ -33,7 +33,6 @@ ALGOS = {"fedavg": FedAvg, "scaffold": Scaffold, "fedkemf": FedKEMF}
 EXECUTORS = {
     "serial": dict(),
     "persistent": dict(workers=2, executor="persistent"),
-    "batched": dict(executor="batched"),
 }
 
 

@@ -76,6 +76,21 @@ class TestFastPathsBitwise:
         # bitwise: both fold kernel offsets in ascending (ki, kj) order
         np.testing.assert_array_equal(fast, ref)
 
+    @pytest.mark.parametrize("geometry", GEOMETRIES)
+    @pytest.mark.parametrize("with_bias", [False, True])
+    def test_conv2d_output_is_c_contiguous(self, geometry, with_bias):
+        """conv2d hands BatchNorm and pooling a C-order array whatever
+        layout einsum returned: their multi-axis reductions then follow one
+        fixed summation tree, which the committed result artifacts depend
+        on to the last ulp."""
+        n, c, h, w, k, stride, pad = geometry
+        rng = np.random.default_rng(3)
+        x = Tensor(rng.standard_normal((n, c, h, w)).astype(np.float32))
+        weight = Tensor(rng.standard_normal((4, c, k, k)).astype(np.float32))
+        bias = Tensor(rng.standard_normal(4).astype(np.float32)) if with_bias else None
+        out = F.conv2d(x, weight, bias, stride=stride, padding=pad)
+        assert out.data.flags.c_contiguous
+
     def test_float64_cols_stay_float64(self):
         x, cols, _, _ = _cols_for((2, 2, 6, 6, 3, 1, 1))
         out = _col2im_accumulate(cols.astype(np.float64), x.shape, 3, 3, 1, 1)
@@ -107,7 +122,7 @@ class TestIndexCacheImmutable:
 
     def test_lru_cap_evicts_without_breaking_frozen_entries(self):
         """The memo is bounded (maxsize=256): a flood of distinct geometries
-        — e.g. from batched cohort groups — must evict old entries instead
+        — e.g. from many model families in one process — must evict old entries instead
         of growing without limit, and entries recomputed after eviction must
         carry the same read-only invariant and the same values."""
         maxsize = im2col_indices.cache_info().maxsize

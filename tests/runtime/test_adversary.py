@@ -18,7 +18,6 @@ from repro.runtime.adversary import (
     poison_states,
 )
 from repro.runtime.executors import (
-    BatchedExecutor,
     ParallelExecutor,
     PersistentParallelExecutor,
     fork_available,
@@ -297,32 +296,6 @@ class TestExecutorParityUnderAttack:
         )
         assert isinstance(persistent.runtime.executor, PersistentParallelExecutor)
         _assert_same_run(serial, persistent)
-
-    def test_serial_vs_batched(self, micro_fed_equal, micro_model_fn):
-        """Labelflip clients must peel out of the stacked cohort (they train
-        a different label view) without breaking bit-parity."""
-        make = ALGORITHM_REGISTRY.get("fedavg")
-        cfg = dict(faults=ATTACKS)
-        serial = make(micro_model_fn, micro_fed_equal, _config(**cfg))
-        batched = make(
-            micro_model_fn, micro_fed_equal, _config(executor="batched", **cfg)
-        )
-        assert isinstance(batched.runtime.executor, BatchedExecutor)
-        _assert_same_run(serial, batched)
-
-    def test_serial_vs_batched_fedkemf(self, micro_fed_equal, micro_model_fn):
-        from repro.core import FedKEMF
-
-        cfg = dict(faults="signflip=0.2,logitcorrupt=0.2,labelflip=0.2")
-        serial = FedKEMF(
-            micro_model_fn, micro_fed_equal, _config(**cfg),
-            local_model_fns=micro_model_fn,
-        )
-        batched = FedKEMF(
-            micro_model_fn, micro_fed_equal, _config(executor="batched", **cfg),
-            local_model_fns=micro_model_fn,
-        )
-        _assert_same_run(serial, batched)
 
 
 class TestResumeUnderAttack:

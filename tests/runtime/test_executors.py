@@ -10,7 +10,9 @@ import numpy as np
 import pytest
 
 from repro.runtime import executors as ex_mod
+from repro.fl.algorithms import FLConfig
 from repro.runtime.executors import (
+    EXECUTOR_KINDS,
     ClientUpdate,
     ParallelExecutor,
     PersistentParallelExecutor,
@@ -60,8 +62,15 @@ class TestMakeExecutor:
         assert ex.workers == 4
         # workers < 2 with an explicit parallel kind means "use all cores"
         assert make_executor(0, "persistent").workers >= 1
-        with pytest.raises(ValueError):
-            make_executor(2, "threads")
+        for unknown in ("threads", "batched"):
+            with pytest.raises(ValueError, match="options"):
+                make_executor(2, unknown)
+
+    def test_retired_batched_kind_rejected_by_config(self):
+        assert EXECUTOR_KINDS == ("serial", "parallel", "persistent")
+        with pytest.raises(ValueError) as err:
+            FLConfig(executor="batched")
+        assert str(EXECUTOR_KINDS) in str(err.value)
 
 
 class TestRunRound:
